@@ -39,8 +39,9 @@ occupied uncompressed (header included) — the raw/encoded pair the
 :class:`~repro.cluster.wire.WireLedger` records per frame.
 
 Framing errors are surfaced as :class:`ConnectionError` — a short read
-means the peer went away mid-frame, which the backend turns into a
-host-death diagnostic.
+means the peer went away mid-frame, and a header declaring a body over
+:data:`MAX_FRAME_BYTES` means the stream is corrupt; the backend turns
+either into a host-death diagnostic.
 """
 
 from __future__ import annotations
@@ -69,6 +70,12 @@ _HEADER = struct.Struct(">QB")
 
 #: Wire bytes a frame occupies beyond its encoded body.
 FRAME_OVERHEAD = _HEADER.size
+
+#: Largest encoded body a reader accepts.  A header declaring more is
+#: rejected with :class:`ConnectionError` before any buffer is allocated, so
+#: a corrupt or forged length is a dead channel, not a ``MemoryError`` or a
+#: reader waiting forever for bytes that never come.
+MAX_FRAME_BYTES = 1 << 30
 
 #: Body envelope header: number of out-of-band buffers, pickle byte length.
 _BODY_HEADER = struct.Struct(">IQ")
@@ -365,6 +372,17 @@ def recv_exact(sock: socket.socket, n_bytes: int) -> bytearray:
     return buf
 
 
+def _header_fields(buf, offset: int = 0) -> Tuple[int, int]:
+    """Unpack ``(body length, codec id)``; refuse lengths over :data:`MAX_FRAME_BYTES`."""
+    length, codec_id = _HEADER.unpack_from(buf, offset)
+    if length > MAX_FRAME_BYTES:
+        raise ConnectionError(
+            f"frame header declares a {length}-byte body, over the "
+            f"{MAX_FRAME_BYTES}-byte limit"
+        )
+    return length, codec_id
+
+
 class FrameChannel:
     """A framed, byte-counted, codec-aware pickle channel over one socket.
 
@@ -436,7 +454,8 @@ class FrameChannel:
         object is decoded zero-copy from the receive buffer.
 
         Raises :class:`ConnectionError` when the peer disconnects — at a
-        frame boundary (clean EOF) or mid-frame (short read).
+        frame boundary (clean EOF) or mid-frame (short read) — or when the
+        header declares a body over :data:`MAX_FRAME_BYTES`.
         """
         try:
             header = recv_exact(self._sock, _HEADER.size)
@@ -444,7 +463,7 @@ class FrameChannel:
             raise
         except OSError as exc:  # pragma: no cover - platform-dependent errno
             raise ConnectionError(f"socket receive failed: {exc}") from exc
-        length, codec_id = _HEADER.unpack(bytes(header))
+        length, codec_id = _header_fields(header)
         data = recv_exact(self._sock, length)
         codec = codec_by_id(codec_id)
         if codec.wire_id == NONE_CODEC.wire_id:
@@ -510,13 +529,14 @@ class FrameChannel:
         like :meth:`recv` would, in arrival order; incomplete trailing bytes
         (a partial header, a body still crossing the socket) stay buffered
         for the next feed.  Counters advance only for frames actually
-        decoded.
+        decoded.  A header declaring a body over :data:`MAX_FRAME_BYTES`
+        raises :class:`ConnectionError` without waiting for that body.
         """
         frames: List[Tuple[Any, int, int, str]] = []
         buf = self._in_buf
         offset = 0
         while len(buf) - offset >= _HEADER.size:
-            length, codec_id = _HEADER.unpack_from(buf, offset)
+            length, codec_id = _header_fields(buf, offset)
             total = _HEADER.size + length
             if len(buf) - offset < total:
                 break
@@ -602,6 +622,7 @@ __all__ = [
     "FRAME_OVERHEAD",
     "FrameChannel",
     "HAVE_ZSTD",
+    "MAX_FRAME_BYTES",
     "MIN_COMPRESS_BYTES",
     "NONE_CODEC",
     "PICKLE_PROTOCOL",

@@ -35,22 +35,9 @@ from repro.core.preclustering import precluster_site_center
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.distributed.result import DistributedResult
-from repro.metrics.blocked import (
-    MemoryBudgetLike,
-    argmin_per_row,
-    resolve_memory_budget,
-    shard_scratch,
-)
-from repro.obs.live import TelemetryLike, resolve_telemetry, telemetry_scope
-from repro.obs.trace import TraceLike, resolve_tracer, trace_run
-from repro.runtime.backends import (
-    BackendLike,
-    apply_retry_policy,
-    apply_telemetry,
-    backend_scope,
-)
+from repro.metrics.blocked import argmin_per_row
+from repro.runtime.run import RunConfig, protocol_run
 from repro.runtime.tasks import SiteTask, run_site_tasks
-from repro.runtime.transport import TransportLike, resolve_transport
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
 
@@ -126,14 +113,7 @@ def distributed_partial_center(
     rng: RngLike = None,
     coordinator_solver_kwargs: Optional[dict] = None,
     realize: bool = True,
-    backend: BackendLike = None,
-    transport: TransportLike = None,
-    memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
-    async_rounds: bool = False,
-    trace: TraceLike = False,
-    retry: Optional["RetryPolicy"] = None,
-    telemetry: TelemetryLike = False,
+    **run,
 ) -> DistributedResult:
     """Run Algorithm 2 on a distributed instance with the center objective.
 
@@ -151,46 +131,14 @@ def distributed_partial_center(
         :func:`repro.sequential.kcenter_outliers.kcenter_with_outliers`.
     realize:
         Also produce a full per-point assignment (output step, uncharged).
-    backend, transport:
-        Execution backend and transport policy for the per-site phases (see
-        :mod:`repro.runtime`); the result is backend-invariant.  On the
+    run:
+        Run options; see :class:`~repro.runtime.run.RunConfig`.  On the
         cluster backend the Gonzalez traversal stays runner-resident
-        between rounds as mutable site state (digest/epoch-token wire
-        protocol, see :mod:`repro.runtime.state`).
-    memory_budget:
-        Byte cap on any single distance block a party materialises (the
+        between rounds as mutable site state.  Under a memory budget the
         traversal sweeps, the nearest-candidate attachment and the
-        coordinator's weighted solve all run blocked); ``None`` keeps the
-        dense behaviour and the result is bit-identical for every setting.
-    prefetch:
-        Double-buffered background tile prefetch for memmap-backed blocks
-        (``None`` = auto: on exactly when a matrix streams from disk);
-        never changes the result.
-    async_rounds:
-        Stream the round joins (the coordinator absorbs each completed
-        site's witness curve while others still compute); never changes
-        the result.
-    trace:
-        ``True`` attaches a :class:`~repro.obs.trace.Tracer` to the result
-        (``result.trace``) recording the run's spans, events and counters;
-        ``False`` (default) is the zero-overhead no-op (see :mod:`repro.obs`).
-    retry:
-        A :class:`~repro.cluster.recovery.RetryPolicy` enabling
-        fault-tolerant rounds on the cluster backend (runner deaths are
-        recovered by deterministic re-pin and dispatch-log replay, results
-        stay bit-identical); ``None`` (default) keeps fail-fast behaviour
-        and in-process backends ignore the policy.
-    telemetry:
-        ``True`` or a :class:`~repro.obs.live.TelemetrySession` turns on the
-        live-telemetry plane for this run: background resource sampling on
-        the coordinator and (on the cluster backend, over heartbeat frames)
-        every runner, mid-run metric snapshots to the session's
-        Prometheus/JSONL sinks, and structured span-correlated logs in the
-        session's run log.  Telemetry implies tracing — an untraced run
-        gets a session-private tracer.  ``False`` (default) resolves to the
-        shared inert :data:`~repro.obs.live.NULL_TELEMETRY` — zero per-task
-        allocation, results bit-identical either way.
+        coordinator's weighted solve all run blocked.
     """
+    config = RunConfig(**run)
     if instance.objective != "center":
         raise ValueError("distributed_partial_center requires a center-objective instance")
     if rho < 1:
@@ -202,87 +150,75 @@ def distributed_partial_center(
     network = StarNetwork(instance)
     generator = ensure_rng(rng)
     site_rngs = spawn_rngs(generator, network.n_sites)
-    policy = resolve_transport(transport)
-    mem_budget = resolve_memory_budget(memory_budget)
-    tracer = resolve_tracer(trace)
-    telemetry_session = resolve_telemetry(telemetry)
-    if telemetry_session.enabled:
-        # Telemetry implies tracing: gauges and samples live on a tracer.
-        tracer = telemetry_session.adopt_tracer(tracer)
-    network.tracer = tracer if tracer.enabled else None
 
-    with shard_scratch(mem_budget) as workdir, telemetry_scope(
-        telemetry_session
-    ), trace_run(
-        tracer, "run", algorithm="algorithm2_center", objective="center"
-    ):
-        with backend_scope(backend) as exec_backend:
-            apply_retry_policy(exec_backend, retry)
-            apply_telemetry(exec_backend, telemetry_session)
-            # --------------------------------------------------------------
-            # Round 1: Gonzalez traversals and witness curves.
-            # --------------------------------------------------------------
-            network.next_round()
-            marginals: list = [None] * network.n_sites
+    with protocol_run(config, algorithm="algorithm2_center", objective="center") as scope:
+        tracer = scope.tracer
+        network.tracer = scope.trace
+        # --------------------------------------------------------------
+        # Round 1: Gonzalez traversals and witness curves.
+        # --------------------------------------------------------------
+        network.next_round()
+        marginals: list = [None] * network.n_sites
 
-            def _absorb_curve(result):
-                with network.coordinator.timer.measure("allocation"), tracer.span(
-                    "allocation", site=result.site_id
-                ):
-                    curve = network.coordinator.messages_from(
-                        result.site_id, "witness_curve"
-                    )[0].payload
-                    marginals[result.site_id] = curve.marginals_from_grid(t)
+        def _absorb_curve(result):
+            with network.coordinator.timer.measure("allocation"), tracer.span(
+                "allocation", site=result.site_id
+            ):
+                curve = network.coordinator.messages_from(
+                    result.site_id, "witness_curve"
+                )[0].payload
+                marginals[result.site_id] = curve.marginals_from_grid(t)
 
-            round1 = run_site_tasks(
-                network,
-                [
-                    SiteTask(i, _round1_center_task, args=(k, t, rho, mem_budget), rng=site_rngs[i])
-                    for i in range(network.n_sites)
-                ],
-                backend=exec_backend,
-                transport=policy,
-                async_rounds=async_rounds,
-                consume=_absorb_curve,
-            )
-            site_rngs = [r.rng for r in round1]
-
-            with network.coordinator.timer.measure("allocation"), tracer.span("allocation"):
-                budget = int(math.floor(rho * t))
-                allocation = allocate_outlier_budget(marginals, budget)
-
-            # --------------------------------------------------------------
-            # Round 2: allocations out, weighted candidate sets back, final solve.
-            # --------------------------------------------------------------
-            network.next_round()
-            for site in network.sites:
-                t_i = int(allocation.t_allocated[site.site_id])
-                network.send_to_site(
-                    site.site_id,
-                    "allocation",
-                    {"t_i": t_i, "threshold": allocation.threshold},
-                    words=2,
+        round1 = run_site_tasks(
+            network,
+            [
+                SiteTask(
+                    i, _round1_center_task, args=(k, t, rho, scope.memory_budget),
+                    rng=site_rngs[i],
                 )
-            run_site_tasks(
-                network,
-                [
-                    SiteTask(
-                        i, _round2_center_task,
-                        args=(k, words_per_point, mem_budget, prefetch),
-                        rng=site_rngs[i],
-                    )
-                    for i in range(network.n_sites)
-                ],
-                backend=exec_backend,
-                transport=policy,
-                async_rounds=async_rounds,
-            )
-            summaries = [
-                network.coordinator.messages_from(i, "local_solution")[0].payload
                 for i in range(network.n_sites)
-            ]
+            ],
+            backend=scope.backend,
+            async_rounds=scope.async_rounds,
+            consume=_absorb_curve,
+        )
+        site_rngs = [r.rng for r in round1]
 
-        with network.coordinator.timer.measure("final_solve"), tracer.span("final_solve"):
+        with network.coordinator.timer.measure("allocation"), tracer.span("allocation"):
+            budget = int(math.floor(rho * t))
+            allocation = allocate_outlier_budget(marginals, budget)
+
+        # --------------------------------------------------------------
+        # Round 2: allocations out, weighted candidate sets back, final solve.
+        # --------------------------------------------------------------
+        network.next_round()
+        for site in network.sites:
+            t_i = int(allocation.t_allocated[site.site_id])
+            network.send_to_site(
+                site.site_id,
+                "allocation",
+                {"t_i": t_i, "threshold": allocation.threshold},
+                words=2,
+            )
+        run_site_tasks(
+            network,
+            [
+                SiteTask(
+                    i, _round2_center_task,
+                    args=(k, words_per_point, scope.memory_budget, scope.prefetch),
+                    rng=site_rngs[i],
+                )
+                for i in range(network.n_sites)
+            ],
+            backend=scope.backend,
+            async_rounds=scope.async_rounds,
+        )
+        summaries = [
+            network.coordinator.messages_from(i, "local_solution")[0].payload
+            for i in range(network.n_sites)
+        ]
+
+        with scope.final_solve(network.coordinator.timer):
             combine = combine_preclusters(
                 metric,
                 summaries,
@@ -292,12 +228,12 @@ def distributed_partial_center(
                 rng=generator,
                 realize=realize,
                 coordinator_solver_kwargs=coordinator_solver_kwargs,
-                memory_budget=mem_budget,
-                prefetch=prefetch,
-                workdir=workdir,
+                memory_budget=scope.memory_budget,
+                prefetch=scope.prefetch,
+                workdir=scope.workdir,
             )
 
-        result = DistributedResult(
+        return DistributedResult(
             centers=combine.centers_global,
             outlier_budget=float(t),
             objective="center",
@@ -308,7 +244,7 @@ def distributed_partial_center(
             site_time=network.site_times(),
             coordinator_time=network.coordinator_time(),
             coordinator_solution=combine.coordinator_solution,
-            trace=tracer if tracer.enabled else None,
+            trace=scope.trace,
             metadata={
                 "algorithm": "algorithm2_center",
                 "rho": float(rho),
@@ -317,11 +253,10 @@ def distributed_partial_center(
                 "exceptional_site": allocation.exceptional_site,
                 "n_coordinator_demands": int(combine.demand_points.size),
                 "realized_assignment": combine.realized_assignment,
-                "memory_budget": mem_budget,
-                "async_rounds": bool(async_rounds),
+                "memory_budget": scope.memory_budget,
+                "async_rounds": bool(scope.async_rounds),
             },
         )
-        return result
 
 
 

@@ -30,21 +30,8 @@ from repro.core.preclustering import precluster_site
 from repro.distributed.instance import UncertainDistributedInstance
 from repro.distributed.messages import CommunicationLedger, Message, COORDINATOR
 from repro.distributed.result import DistributedResult
-from repro.metrics.blocked import (
-    MemoryBudgetLike,
-    materialize,
-    memmap_handle,
-    resolve_memory_budget,
-    shard_scratch,
-)
-from repro.obs.live import TelemetryLike, resolve_telemetry, telemetry_scope
-from repro.obs.trace import TraceLike, resolve_tracer, trace_run
-from repro.runtime.backends import (
-    BackendLike,
-    apply_retry_policy,
-    apply_telemetry,
-    backend_scope,
-)
+from repro.metrics.blocked import materialize, memmap_handle
+from repro.runtime.run import RunConfig, protocol_run
 from repro.runtime.tasks import run_tasks
 from repro.sequential.bicriteria import bicriteria_solve
 from repro.sequential.kcenter_outliers import kcenter_with_outliers
@@ -185,13 +172,7 @@ def distributed_uncertain_clustering(
     rng: RngLike = None,
     local_solver_kwargs: Optional[dict] = None,
     coordinator_solver_kwargs: Optional[dict] = None,
-    backend: BackendLike = None,
-    memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
-    async_rounds: bool = False,
-    trace: TraceLike = False,
-    retry: Optional["RetryPolicy"] = None,
-    telemetry: TelemetryLike = False,
+    **run,
 ) -> DistributedResult:
     """Distributed uncertain ``(k, (1+eps)t)``-median/means/center-pp (Theorem 5.6).
 
@@ -203,45 +184,13 @@ def distributed_uncertain_clustering(
         (interpreted as center-pp).
     epsilon, rho, local_center_factor:
         As in :func:`repro.core.algorithm1.distributed_partial_median`.
-    backend:
-        Execution backend for the per-site phases (see
-        :mod:`repro.runtime`); the result is backend-invariant.  This
-        protocol manages its own coordinator-held per-site dicts through
-        structure-free :func:`~repro.runtime.run_tasks` payloads, so the
+    run:
+        Run options; see :class:`~repro.runtime.run.RunConfig`.  This
+        protocol keeps its per-site dicts on the coordinator and ships them
+        in structure-free :func:`~repro.runtime.run_tasks` payloads, so the
         cluster backend's runner-resident *site* state
-        (:mod:`repro.runtime.state`) does not apply — its round payloads
-        are re-shipped per task, which the wire ledger reports honestly.
-    memory_budget:
-        Byte cap on any single compressed-cost block; site matrices larger
-        than the budget stream from disk shards (bit-identical results for
-        every setting).
-    prefetch:
-        Background tile prefetch knob for memmap-backed cost blocks
-        (``None`` = auto); never changes the result.
-    async_rounds:
-        Stream the round joins — the coordinator absorbs each completed
-        site's profile/summary (and its allocation marginals) while later
-        sites still compute; never changes the result.
-    trace:
-        ``True`` attaches a :class:`~repro.obs.trace.Tracer` to the result
-        (``result.trace``) recording the run's spans, events and counters;
-        ``False`` (default) is the zero-overhead no-op (see :mod:`repro.obs`).
-    retry:
-        A :class:`~repro.cluster.recovery.RetryPolicy` enabling
-        fault-tolerant rounds on the cluster backend (runner deaths are
-        recovered by deterministic re-pin and dispatch-log replay, results
-        stay bit-identical); ``None`` (default) keeps fail-fast behaviour
-        and in-process backends ignore the policy.
-    telemetry:
-        ``True`` or a :class:`~repro.obs.live.TelemetrySession` turns on the
-        live-telemetry plane for this run: background resource sampling on
-        the coordinator and (on the cluster backend, over heartbeat frames)
-        every runner, mid-run metric snapshots to the session's
-        Prometheus/JSONL sinks, and structured span-correlated logs in the
-        session's run log.  Telemetry implies tracing — an untraced run
-        gets a session-private tracer.  ``False`` (default) resolves to the
-        shared inert :data:`~repro.obs.live.NULL_TELEMETRY` — zero per-task
-        allocation, results bit-identical either way.
+        (:mod:`repro.runtime.state`) does not apply — round payloads are
+        re-shipped per task, which the wire ledger reports honestly.
 
     Returns
     -------
@@ -250,6 +199,7 @@ def distributed_uncertain_clustering(
         are *node* indices; ``metadata["node_assignment"]`` maps every served
         node to its center for exact objective evaluation.
     """
+    config = RunConfig(**run)
     objective = str(instance.objective).lower()
     if objective not in ("median", "means", "center"):
         raise ValueError(f"unsupported uncertain objective {objective!r}")
@@ -263,125 +213,109 @@ def distributed_uncertain_clustering(
     s = instance.n_sites
     generator = ensure_rng(rng)
     site_rngs = spawn_rngs(generator, s)
-    local_kwargs = dict(local_solver_kwargs or {})
-    mem_budget = resolve_memory_budget(memory_budget)
-    if mem_budget is not None:
-        local_kwargs.setdefault("memory_budget", mem_budget)
-    if prefetch is not None:
-        local_kwargs.setdefault("prefetch", prefetch)
 
     ledger = CommunicationLedger()
     site_timers = [Timer() for _ in range(s)]
     coord_timer = Timer()
-    tracer = resolve_tracer(trace)
-    telemetry_session = resolve_telemetry(telemetry)
-    if telemetry_session.enabled:
-        # Telemetry implies tracing: gauges and samples live on a tracer.
-        tracer = telemetry_session.adopt_tracer(tracer)
 
-    with shard_scratch(mem_budget) as workdir, telemetry_scope(
-        telemetry_session
-    ), trace_run(
-        tracer, "run", algorithm="algorithm3_uncertain", objective=objective
-    ):
-        with backend_scope(backend) as exec_backend:
-            apply_retry_policy(exec_backend, retry)
-            apply_telemetry(exec_backend, telemetry_session)
-            # --------------------------------------------------------------
-            # Round 1: collapse + compressed-graph preclustering profiles.
-            # --------------------------------------------------------------
-            site_state: List[dict] = [None] * s
-            marginals: List = [None] * s
+    with protocol_run(config, algorithm="algorithm3_uncertain", objective=objective) as scope:
+        tracer = scope.tracer
+        local_kwargs = scope.solver_kwargs(local_solver_kwargs)
+        # --------------------------------------------------------------
+        # Round 1: collapse + compressed-graph preclustering profiles.
+        # --------------------------------------------------------------
+        site_state: List[dict] = [None] * s
+        marginals: List = [None] * s
 
-            def _absorb_round1(i, out):
-                # Merged in site order; under async_rounds this runs while
-                # later sites still collapse/precluster.
-                site_state[i] = out["state"]
-                site_timers[i].merge(out["timer"])
-                site_rngs[i] = out["rng"]
-                profile = out["state"]["precluster"].profile
-                ledger.record(Message(i, COORDINATOR, 1, "cost_profile", profile.words, profile))
-                with coord_timer.measure("allocation"), tracer.span("allocation", site=i):
-                    marginals[i] = profile.marginals()
+        def _absorb_round1(i, out):
+            # Merged in site order; under async_rounds this runs while
+            # later sites still collapse/precluster.
+            site_state[i] = out["state"]
+            site_timers[i].merge(out["timer"])
+            site_rngs[i] = out["rng"]
+            profile = out["state"]["precluster"].profile
+            ledger.record(Message(i, COORDINATOR, 1, "cost_profile", profile.words, profile))
+            with coord_timer.measure("allocation"), tracer.span("allocation", site=i):
+                marginals[i] = profile.marginals()
 
-            run_tasks(
-                _uncertain_round1,
-                [
-                    {
-                        "uncertain": uncertain,
-                        "shard": instance.shard(i),
-                        "objective": objective,
-                        "k": k,
-                        "t": t,
-                        "rho": rho,
-                        "local_center_factor": local_center_factor,
-                        "local_kwargs": local_kwargs,
-                        "rng": site_rngs[i],
-                        "memory_budget": mem_budget,
-                        "workdir": workdir,
-                    }
-                    for i in range(s)
-                ],
-                backend=exec_backend,
-                ledger=ledger,
-                round_index=1,
-                async_rounds=async_rounds,
-                consume=_absorb_round1,
-                tracer=tracer,
+        run_tasks(
+            _uncertain_round1,
+            [
+                {
+                    "uncertain": uncertain,
+                    "shard": instance.shard(i),
+                    "objective": objective,
+                    "k": k,
+                    "t": t,
+                    "rho": rho,
+                    "local_center_factor": local_center_factor,
+                    "local_kwargs": local_kwargs,
+                    "rng": site_rngs[i],
+                    "memory_budget": scope.memory_budget,
+                    "workdir": scope.workdir,
+                }
+                for i in range(s)
+            ],
+            backend=scope.backend,
+            ledger=ledger,
+            round_index=1,
+            async_rounds=scope.async_rounds,
+            consume=_absorb_round1,
+            tracer=tracer,
+        )
+
+        with coord_timer.measure("allocation"), tracer.span("allocation"):
+            budget = int(math.floor(rho * t))
+            allocation = allocate_outlier_budget(marginals, budget)
+
+        # --------------------------------------------------------------
+        # Round 2: allocations out; centers, counts and collapsed outliers back.
+        # --------------------------------------------------------------
+        for i in range(s):
+            ledger.record(
+                Message(COORDINATOR, i, 2, "allocation", 3, {"t_i": int(allocation.t_allocated[i])})
             )
+        demand_anchor: List[int] = []      # ground point each coordinator demand sits at
+        demand_offset: List[float] = []    # additive collapse offset of the demand
+        demand_weight: List[float] = []
+        demand_origin: List[tuple] = []    # (site, kind, payload) for mapping back
 
-            with coord_timer.measure("allocation"), tracer.span("allocation"):
-                budget = int(math.floor(rho * t))
-                allocation = allocate_outlier_budget(marginals, budget)
+        def _absorb_round2(i, out):
+            site_state[i] = out["state"]
+            site_timers[i].merge(out["timer"])
+            site_rngs[i] = out["rng"]
+            demand_anchor.extend(out["demand_anchor"])
+            demand_offset.extend(out["demand_offset"])
+            demand_weight.extend(out["demand_weight"])
+            demand_origin.extend(out["demand_origin"])
+            ledger.record(Message(i, COORDINATOR, 2, "local_solution", out["words"], None))
 
-            # --------------------------------------------------------------
-            # Round 2: allocations out; centers, counts and collapsed outliers back.
-            # --------------------------------------------------------------
-            for i in range(s):
-                ledger.record(
-                    Message(COORDINATOR, i, 2, "allocation", 3, {"t_i": int(allocation.t_allocated[i])})
-                )
-            demand_anchor: List[int] = []      # ground point each coordinator demand sits at
-            demand_offset: List[float] = []    # additive collapse offset of the demand
-            demand_weight: List[float] = []
-            demand_origin: List[tuple] = []    # (site, kind, payload) for mapping back
-
-            def _absorb_round2(i, out):
-                site_state[i] = out["state"]
-                site_timers[i].merge(out["timer"])
-                site_rngs[i] = out["rng"]
-                demand_anchor.extend(out["demand_anchor"])
-                demand_offset.extend(out["demand_offset"])
-                demand_weight.extend(out["demand_weight"])
-                demand_origin.extend(out["demand_origin"])
-                ledger.record(Message(i, COORDINATOR, 2, "local_solution", out["words"], None))
-
-            run_tasks(
-                _uncertain_round2,
-                [
-                    {
-                        "site_id": i,
-                        "state": site_state[i],
-                        "objective": objective,
-                        "t_i": int(allocation.t_allocated[i]),
-                        "B": B,
-                        "local_kwargs": local_kwargs,
-                        "rng": site_rngs[i],
-                    }
-                    for i in range(s)
-                ],
-                backend=exec_backend,
-                ledger=ledger,
-                round_index=2,
-                async_rounds=async_rounds,
-                consume=_absorb_round2,
-                tracer=tracer,
-            )
+        run_tasks(
+            _uncertain_round2,
+            [
+                {
+                    "site_id": i,
+                    "state": site_state[i],
+                    "objective": objective,
+                    "t_i": int(allocation.t_allocated[i]),
+                    "B": B,
+                    "local_kwargs": local_kwargs,
+                    "rng": site_rngs[i],
+                }
+                for i in range(s)
+            ],
+            backend=scope.backend,
+            ledger=ledger,
+            round_index=2,
+            async_rounds=scope.async_rounds,
+            consume=_absorb_round2,
+            tracer=tracer,
+        )
 
         # ------------------------------------------------------------------
         # Coordinator: weighted clustering on the received compressed summary.
         # ------------------------------------------------------------------
-        with coord_timer.measure("final_solve"), tracer.span("final_solve"):
+        with scope.final_solve(coord_timer):
             demand_anchor_arr = np.asarray(demand_anchor, dtype=int)
             demand_offset_arr = np.asarray(demand_offset, dtype=float)
             demand_weight_arr = np.asarray(demand_weight, dtype=float)
@@ -394,15 +328,16 @@ def distributed_uncertain_clustering(
                     (block * block if objective == "means" else block)
                     + demand_offset_arr[rs][:, None]
                 ),
-                memory_budget=mem_budget,
-                workdir=workdir,
+                memory_budget=scope.memory_budget,
+                workdir=scope.workdir,
             )
 
             coordinator_kwargs = dict(coordinator_solver_kwargs or {})
             if objective == "center":
                 coordinator_solution = kcenter_with_outliers(
                     cost_matrix, k, t, weights=demand_weight_arr,
-                    memory_budget=mem_budget, prefetch=prefetch, **coordinator_kwargs
+                    memory_budget=scope.memory_budget, prefetch=scope.prefetch,
+                    **coordinator_kwargs,
                 )
                 outlier_budget = float(t)
             else:
@@ -415,8 +350,8 @@ def distributed_uncertain_clustering(
                     objective="means" if objective == "means" else "median",
                     weights=demand_weight_arr,
                     rng=generator,
-                    memory_budget=mem_budget,
-                    prefetch=prefetch,
+                    memory_budget=scope.memory_budget,
+                    prefetch=scope.prefetch,
                     **coordinator_kwargs,
                 )
                 outlier_budget = float(math.floor((1.0 + epsilon) * t + 1e-9))
@@ -469,7 +404,7 @@ def distributed_uncertain_clustering(
             site_time={i: float(sum(site_timers[i].totals.values())) for i in range(s)},
             coordinator_time=float(sum(coord_timer.totals.values())),
             coordinator_solution=coordinator_solution,
-            trace=tracer if tracer.enabled else None,
+            trace=scope.trace,
             metadata={
                 "algorithm": "algorithm3_uncertain",
                 "epsilon": float(epsilon),
@@ -479,9 +414,9 @@ def distributed_uncertain_clustering(
                 "node_assignment": node_assignment,
                 "n_coordinator_demands": int(demand_anchor_arr.size),
                 "collapse_cost_total": float(sum(float(st["collapse"].sum()) for st in site_state)),
-                "memory_budget": mem_budget,
+                "memory_budget": scope.memory_budget,
                 "cost_matrix_storage": [st.get("cost_storage") for st in site_state],
-                "async_rounds": bool(async_rounds),
+                "async_rounds": bool(scope.async_rounds),
             },
         )
 

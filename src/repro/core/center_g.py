@@ -37,22 +37,9 @@ from repro.core.preclustering import precluster_site
 from repro.distributed.instance import UncertainDistributedInstance
 from repro.distributed.messages import COORDINATOR, CommunicationLedger, Message
 from repro.distributed.result import DistributedResult
-from repro.metrics.blocked import (
-    DEFAULT_REDUCTION_BUDGET,
-    MemoryBudgetLike,
-    materialize_rows,
-    resolve_memory_budget,
-    shard_scratch,
-)
+from repro.metrics.blocked import DEFAULT_REDUCTION_BUDGET, materialize_rows
 from repro.metrics.plan import ReductionPlan
-from repro.obs.live import TelemetryLike, resolve_telemetry, telemetry_scope
-from repro.obs.trace import TraceLike, resolve_tracer, trace_run
-from repro.runtime.backends import (
-    BackendLike,
-    apply_retry_policy,
-    apply_telemetry,
-    backend_scope,
-)
+from repro.runtime.run import RunConfig, protocol_run
 from repro.runtime.tasks import run_tasks
 from repro.sequential.kcenter_outliers import kcenter_with_outliers
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
@@ -232,13 +219,7 @@ def distributed_uncertain_center_g(
     rng: RngLike = None,
     local_solver_kwargs: Optional[dict] = None,
     coordinator_solver_kwargs: Optional[dict] = None,
-    backend: BackendLike = None,
-    memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
-    async_rounds: bool = False,
-    trace: TraceLike = False,
-    retry: Optional["RetryPolicy"] = None,
-    telemetry: TelemetryLike = False,
+    **run,
 ) -> DistributedResult:
     """Distributed uncertain ``(k, (1+eps)t)``-center-g (Theorem 5.14).
 
@@ -256,49 +237,16 @@ def distributed_uncertain_center_g(
     cost_budget_factor:
         The constant in the stopping rule ``sum_i Csol <= factor * tau``
         (``12`` in Lemma 5.10).
-    backend:
-        Execution backend for the per-site phases (see
-        :mod:`repro.runtime`); the result is backend-invariant.  The
+    run:
+        Run options; see :class:`~repro.runtime.run.RunConfig`.  The
         per-``tau`` sweeps go through structure-free
         :func:`~repro.runtime.run_tasks` payloads; on the cluster backend
         the repeated components (shards, collapse matrices, round-1 state)
         ship once as content-addressed digests
         (:mod:`repro.cluster.payloads`) and the frames travel compressed
-        under the wire codec policy, so the wire ledger now prices this
-        protocol within the same bytes-per-word band as the others.
-    memory_budget:
-        Byte cap on any single distance/cost block (distance extremes, the
-        per-``tau`` sweep matrices and the coordinator solve all run
-        blocked, spilling to disk shards beyond the budget); results are
-        bit-identical for every setting.
-    prefetch:
-        Background tile prefetch knob for memmap-backed cost blocks
-        (``None`` = auto); never changes the result.
-    async_rounds:
-        Stream the round joins — the coordinator absorbs each completed
-        site's extremes / per-``tau`` profiles / summaries while later
-        sites still compute; never changes the result.
-    trace:
-        ``True`` attaches a :class:`~repro.obs.trace.Tracer` to the result
-        (``result.trace``) recording the run's spans, events and counters;
-        ``False`` (default) is the zero-overhead no-op (see :mod:`repro.obs`).
-    retry:
-        A :class:`~repro.cluster.recovery.RetryPolicy` enabling
-        fault-tolerant rounds on the cluster backend (runner deaths are
-        recovered by deterministic re-pin and dispatch-log replay, results
-        stay bit-identical); ``None`` (default) keeps fail-fast behaviour
-        and in-process backends ignore the policy.
-    telemetry:
-        ``True`` or a :class:`~repro.obs.live.TelemetrySession` turns on the
-        live-telemetry plane for this run: background resource sampling on
-        the coordinator and (on the cluster backend, over heartbeat frames)
-        every runner, mid-run metric snapshots to the session's
-        Prometheus/JSONL sinks, and structured span-correlated logs in the
-        session's run log.  Telemetry implies tracing — an untraced run
-        gets a session-private tracer.  ``False`` (default) resolves to the
-        shared inert :data:`~repro.obs.live.NULL_TELEMETRY` — zero per-task
-        allocation, results bit-identical either way.
+        under the wire codec policy.
     """
+    config = RunConfig(**run)
     if epsilon <= 0 or rho <= 1:
         raise ValueError("epsilon must be positive and rho > 1")
     uncertain = instance.uncertain
@@ -308,174 +256,158 @@ def distributed_uncertain_center_g(
     s = instance.n_sites
     generator = ensure_rng(rng)
     site_rngs = spawn_rngs(generator, s)
-    local_kwargs = dict(local_solver_kwargs or {})
-    mem_budget = resolve_memory_budget(memory_budget)
-    if mem_budget is not None:
-        local_kwargs.setdefault("memory_budget", mem_budget)
-    if prefetch is not None:
-        local_kwargs.setdefault("prefetch", prefetch)
 
     ledger = CommunicationLedger()
     site_timers = [Timer() for _ in range(s)]
     coord_timer = Timer()
-    tracer = resolve_tracer(trace)
-    telemetry_session = resolve_telemetry(telemetry)
-    if telemetry_session.enabled:
-        # Telemetry implies tracing: gauges and samples live on a tracer.
-        tracer = telemetry_session.adopt_tracer(tracer)
 
-    with shard_scratch(mem_budget) as workdir, telemetry_scope(
-        telemetry_session
-    ), trace_run(
-        tracer, "run", algorithm="algorithm4_center_g", objective="center-g"
-    ):
-        with backend_scope(backend) as exec_backend:
-            apply_retry_policy(exec_backend, retry)
-            apply_telemetry(exec_backend, telemetry_session)
-            # --------------------------------------------------------------
-            # Round 1a: every party reports its local distance extremes (O(s) words).
-            # --------------------------------------------------------------
-            local_extremes: List[tuple] = [None] * s
+    with protocol_run(config, algorithm="algorithm4_center_g", objective="center-g") as scope:
+        tracer = scope.tracer
+        local_kwargs = scope.solver_kwargs(local_solver_kwargs)
+        # --------------------------------------------------------------
+        # Round 1a: every party reports its local distance extremes (O(s) words).
+        # --------------------------------------------------------------
+        local_extremes: List[tuple] = [None] * s
 
-            def _absorb_extremes(i, out):
-                site_timers[i].merge(out["timer"])
-                local_extremes[i] = out["extremes"]
-                ledger.record(Message(i, COORDINATOR, 1, "extremes", 2, out["extremes"]))
+        def _absorb_extremes(i, out):
+            site_timers[i].merge(out["timer"])
+            local_extremes[i] = out["extremes"]
+            ledger.record(Message(i, COORDINATOR, 1, "extremes", 2, out["extremes"]))
 
-            run_tasks(
-                _extremes_task,
-                [
-                    {
-                        "uncertain": uncertain,
-                        "shard": instance.shard(i),
-                        "memory_budget": mem_budget,
-                        "prefetch": prefetch,
-                    }
-                    for i in range(s)
-                ],
-                backend=exec_backend,
-                ledger=ledger,
-                round_index=1,
-                async_rounds=async_rounds,
-                consume=_absorb_extremes,
-                tracer=tracer,
-            )
-            d_min = min(e[0] for e in local_extremes if e[0] > 0)
-            d_max = max(e[1] for e in local_extremes)
-            taus = truncation_grid(d_min, d_max, base=tau_base)
+        run_tasks(
+            _extremes_task,
+            [
+                {
+                    "uncertain": uncertain,
+                    "shard": instance.shard(i),
+                    "memory_budget": scope.memory_budget,
+                    "prefetch": scope.prefetch,
+                }
+                for i in range(s)
+            ],
+            backend=scope.backend,
+            ledger=ledger,
+            round_index=1,
+            async_rounds=scope.async_rounds,
+            consume=_absorb_extremes,
+            tracer=tracer,
+        )
+        d_min = min(e[0] for e in local_extremes if e[0] > 0)
+        d_max = max(e[1] for e in local_extremes)
+        taus = truncation_grid(d_min, d_max, base=tau_base)
 
-            # --------------------------------------------------------------
-            # Round 1b: per-tau compressed preclustering profiles.
-            # --------------------------------------------------------------
-            site_state: List[dict] = [None] * s
+        # --------------------------------------------------------------
+        # Round 1b: per-tau compressed preclustering profiles.
+        # --------------------------------------------------------------
+        site_state: List[dict] = [None] * s
 
-            def _absorb_sweep(i, out):
-                site_state[i] = out["state"]
-                site_timers[i].merge(out["timer"])
-                site_rngs[i] = out["rng"]
-                ledger.record(Message(i, COORDINATOR, 1, "tau_profiles", out["words"], out["profiles"]))
+        def _absorb_sweep(i, out):
+            site_state[i] = out["state"]
+            site_timers[i].merge(out["timer"])
+            site_rngs[i] = out["rng"]
+            ledger.record(Message(i, COORDINATOR, 1, "tau_profiles", out["words"], out["profiles"]))
 
-            run_tasks(
-                _tau_sweep_task,
-                [
-                    {
-                        "uncertain": uncertain,
-                        "shard": instance.shard(i),
-                        "taus": taus,
-                        "k": k,
-                        "t": t,
-                        "rho": rho,
-                        "local_center_factor": local_center_factor,
-                        "local_kwargs": local_kwargs,
-                        "rng": site_rngs[i],
-                        "memory_budget": mem_budget,
-                        "workdir": workdir,
-                    }
-                    for i in range(s)
-                ],
-                backend=exec_backend,
-                ledger=ledger,
-                round_index=1,
-                async_rounds=async_rounds,
-                consume=_absorb_sweep,
-                tracer=tracer,
-            )
+        run_tasks(
+            _tau_sweep_task,
+            [
+                {
+                    "uncertain": uncertain,
+                    "shard": instance.shard(i),
+                    "taus": taus,
+                    "k": k,
+                    "t": t,
+                    "rho": rho,
+                    "local_center_factor": local_center_factor,
+                    "local_kwargs": local_kwargs,
+                    "rng": site_rngs[i],
+                    "memory_budget": scope.memory_budget,
+                    "workdir": scope.workdir,
+                }
+                for i in range(s)
+            ],
+            backend=scope.backend,
+            ledger=ledger,
+            round_index=1,
+            async_rounds=scope.async_rounds,
+            consume=_absorb_sweep,
+            tracer=tracer,
+        )
 
-            # Coordinator: parametric search for tau_hat (Algorithm 4, line 6).
-            with coord_timer.measure("tau_search"), tracer.span("tau_search"):
-                budget = int(math.floor(rho * t))
-                tau_hat = float(taus[-1])
-                allocation_hat = None
-                for tau in taus:
-                    profiles = [site_state[i]["preclusters"][float(tau)].profile for i in range(s)]
-                    allocation = allocate_outlier_budget([p.marginals() for p in profiles], budget)
-                    total_cost = float(
-                        sum(profiles[i](int(allocation.t_allocated[i])) for i in range(s))
-                    )
-                    if total_cost <= cost_budget_factor * float(tau):
-                        tau_hat = float(tau)
-                        allocation_hat = allocation
-                        break
-                if allocation_hat is None:
-                    profiles = [site_state[i]["preclusters"][float(taus[-1])].profile for i in range(s)]
-                    allocation_hat = allocate_outlier_budget([p.marginals() for p in profiles], budget)
-
-            # --------------------------------------------------------------
-            # Round 2: tau_hat + allocations out; preclusters (with full outlier
-            # node distributions) back.
-            # --------------------------------------------------------------
-            for i in range(s):
-                ledger.record(
-                    Message(COORDINATOR, i, 2, "allocation", 2,
-                            {"tau": tau_hat, "t_i": int(allocation_hat.t_allocated[i])})
+        # Coordinator: parametric search for tau_hat (Algorithm 4, line 6).
+        with coord_timer.measure("tau_search"), tracer.span("tau_search"):
+            budget = int(math.floor(rho * t))
+            tau_hat = float(taus[-1])
+            allocation_hat = None
+            for tau in taus:
+                profiles = [site_state[i]["preclusters"][float(tau)].profile for i in range(s)]
+                allocation = allocate_outlier_budget([p.marginals() for p in profiles], budget)
+                total_cost = float(
+                    sum(profiles[i](int(allocation.t_allocated[i])) for i in range(s))
                 )
-            demand_anchor: List[int] = []
-            demand_node: List[Optional[int]] = []   # global node id when the demand is a shipped node
-            demand_weight: List[float] = []
-            demand_origin: List[tuple] = []
-            facility_candidates: List[np.ndarray] = []
+                if total_cost <= cost_budget_factor * float(tau):
+                    tau_hat = float(tau)
+                    allocation_hat = allocation
+                    break
+            if allocation_hat is None:
+                profiles = [site_state[i]["preclusters"][float(taus[-1])].profile for i in range(s)]
+                allocation_hat = allocate_outlier_budget([p.marginals() for p in profiles], budget)
 
-            def _absorb_round2(i, out):
-                site_state[i] = out["state"]
-                site_timers[i].merge(out["timer"])
-                site_rngs[i] = out["rng"]
-                demand_anchor.extend(out["demand_anchor"])
-                demand_node.extend(out["demand_node"])
-                demand_weight.extend(out["demand_weight"])
-                demand_origin.extend(out["demand_origin"])
-                facility_candidates.extend(out["facility_candidates"])
-                ledger.record(Message(i, COORDINATOR, 2, "local_solution", out["words"], None))
-
-            run_tasks(
-                _center_g_round2,
-                [
-                    {
-                        "uncertain": uncertain,
-                        "site_id": i,
-                        "state": site_state[i],
-                        "tau_hat": tau_hat,
-                        "t_i": int(allocation_hat.t_allocated[i]),
-                        "B": B,
-                        "node_words": instance.node_words(),
-                        "local_kwargs": local_kwargs,
-                        "rng": site_rngs[i],
-                        "memory_budget": mem_budget,
-                        "workdir": workdir,
-                    }
-                    for i in range(s)
-                ],
-                backend=exec_backend,
-                ledger=ledger,
-                round_index=2,
-                async_rounds=async_rounds,
-                consume=_absorb_round2,
-                tracer=tracer,
+        # --------------------------------------------------------------
+        # Round 2: tau_hat + allocations out; preclusters (with full outlier
+        # node distributions) back.
+        # --------------------------------------------------------------
+        for i in range(s):
+            ledger.record(
+                Message(COORDINATOR, i, 2, "allocation", 2,
+                        {"tau": tau_hat, "t_i": int(allocation_hat.t_allocated[i])})
             )
+        demand_anchor: List[int] = []
+        demand_node: List[Optional[int]] = []   # global node id when the demand is a shipped node
+        demand_weight: List[float] = []
+        demand_origin: List[tuple] = []
+        facility_candidates: List[np.ndarray] = []
+
+        def _absorb_round2(i, out):
+            site_state[i] = out["state"]
+            site_timers[i].merge(out["timer"])
+            site_rngs[i] = out["rng"]
+            demand_anchor.extend(out["demand_anchor"])
+            demand_node.extend(out["demand_node"])
+            demand_weight.extend(out["demand_weight"])
+            demand_origin.extend(out["demand_origin"])
+            facility_candidates.extend(out["facility_candidates"])
+            ledger.record(Message(i, COORDINATOR, 2, "local_solution", out["words"], None))
+
+        run_tasks(
+            _center_g_round2,
+            [
+                {
+                    "uncertain": uncertain,
+                    "site_id": i,
+                    "state": site_state[i],
+                    "tau_hat": tau_hat,
+                    "t_i": int(allocation_hat.t_allocated[i]),
+                    "B": B,
+                    "node_words": instance.node_words(),
+                    "local_kwargs": local_kwargs,
+                    "rng": site_rngs[i],
+                    "memory_budget": scope.memory_budget,
+                    "workdir": scope.workdir,
+                }
+                for i in range(s)
+            ],
+            backend=scope.backend,
+            ledger=ledger,
+            round_index=2,
+            async_rounds=scope.async_rounds,
+            consume=_absorb_round2,
+            tracer=tracer,
+        )
 
         # ------------------------------------------------------------------
         # Coordinator: weighted (k, (1+eps)t)-center over what it received.
         # ------------------------------------------------------------------
-        with coord_timer.measure("final_solve"), tracer.span("final_solve"):
+        with scope.final_solve(coord_timer):
             facility_points = np.unique(np.concatenate(facility_candidates))
             n_demands = len(demand_anchor)
 
@@ -494,13 +426,13 @@ def distributed_uncertain_center_g(
             # when the matrix exceeds the budget.
             cost_matrix = materialize_rows(
                 _demand_rows, n_demands, facility_points.size,
-                memory_budget=mem_budget, workdir=workdir,
+                memory_budget=scope.memory_budget, workdir=scope.workdir,
             )
             weights_arr = np.asarray(demand_weight, dtype=float)
             outlier_budget = float(math.floor((1.0 + epsilon) * t + 1e-9))
             coordinator_solution = kcenter_with_outliers(
                 cost_matrix, k, outlier_budget, weights=weights_arr,
-                memory_budget=mem_budget, prefetch=prefetch,
+                memory_budget=scope.memory_budget, prefetch=scope.prefetch,
                 **dict(coordinator_solver_kwargs or {}),
             )
             centers_global = facility_points[coordinator_solution.centers]
@@ -547,7 +479,7 @@ def distributed_uncertain_center_g(
             site_time={i: float(sum(site_timers[i].totals.values())) for i in range(s)},
             coordinator_time=float(sum(coord_timer.totals.values())),
             coordinator_solution=coordinator_solution,
-            trace=tracer if tracer.enabled else None,
+            trace=scope.trace,
             metadata={
                 "algorithm": "algorithm4_center_g",
                 "epsilon": float(epsilon),
@@ -560,8 +492,8 @@ def distributed_uncertain_center_g(
                 "t_allocated": allocation_hat.t_allocated.tolist(),
                 "node_assignment": node_assignment,
                 "n_coordinator_demands": int(n_demands),
-                "memory_budget": mem_budget,
-                "async_rounds": bool(async_rounds),
+                "memory_budget": scope.memory_budget,
+                "async_rounds": bool(scope.async_rounds),
             },
         )
 

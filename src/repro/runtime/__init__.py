@@ -11,11 +11,6 @@ steps synchronise.  This subsystem separates *what* a site computes from
   (shared memory, GIL-releasing numpy kernels run concurrently) and
   :class:`ProcessPoolBackend` (true parallelism; everything crosses the
   boundary through pickle).
-* :mod:`repro.runtime.transport` — :class:`TransportPolicy` controls how
-  payloads are materialised between parties.  :class:`PickleTransport`
-  gives the in-process backends the same honest message materialisation
-  the process backend gets for free, and counts the actual bytes a real
-  wire would carry (word accounting stays semantic and backend-invariant).
 * :mod:`repro.runtime.tasks` — :class:`SiteTask` / :class:`SiteContext` and
   the scheduler :func:`run_site_tasks`, which fans a round's site tasks out
   to a backend, joins deterministically in site order, and merges state,
@@ -29,14 +24,19 @@ steps synchronise.  This subsystem separates *what* a site computes from
   entries over the wire only on explicit access (``pull_state()`` /
   ``evict()`` for bulk control).  Protocol results are bit-identical
   either way.
+* :mod:`repro.runtime.run` — :class:`RunConfig`, the options that say how
+  a protocol run executes (backend, memory budget, prefetch, async rounds,
+  tracing, retry policy, telemetry), and :func:`protocol_run`, the one
+  scope every protocol driver runs under.
 
-Every distributed protocol accepts ``backend=`` — ``"serial"`` (the
-default), ``"thread"``, ``"process"``, ``"cluster"`` (one spawned runner
-process per host, payloads over real sockets — see :mod:`repro.cluster`),
-any of those with a worker count (``"thread:4"``, ``"cluster:3"``), or an
-:class:`~repro.runtime.backends.ExecutionBackend` instance — and is
-bit-identical across backends for a fixed seed: same centers, same cost,
-same ledger word counts.  New backends plug in through
+Every distributed protocol accepts the :class:`RunConfig` options as
+keyword arguments.  ``backend=`` takes ``"serial"`` (the default),
+``"thread"``, ``"process"``, ``"cluster"`` (one spawned runner process per
+host, payloads over real sockets — see :mod:`repro.cluster`), any of those
+with a worker count (``"thread:4"``, ``"cluster:3"``), or an
+:class:`~repro.runtime.backends.ExecutionBackend` instance.  Every protocol
+is bit-identical across backends for a fixed seed: same centers, same
+cost, same ledger word counts.  New backends plug in through
 :func:`~repro.runtime.backends.register_backend`.  Pass an instance to
 share one warm pool across many runs::
 
@@ -47,10 +47,9 @@ share one warm pool across many runs::
         for seed in range(10):
             partial_kmedian(points, k=3, t=30, seed=seed, backend=pool)
 
-Protocols also accept ``async_rounds=True``: round joins stream, so the
-coordinator consumes each completed site (allocation marginals, ledger
-charges) while the remaining sites are still computing.  Never changes any
-result — merge order stays the submission order.
+Messages between sites and the coordinator are delivered by reference on
+the in-process backends; the process and cluster backends materialise
+them through pickle.
 """
 
 from repro.runtime.backends import (
@@ -67,6 +66,7 @@ from repro.runtime.backends import (
     register_backend,
     resolve_backend,
 )
+from repro.runtime.run import RunConfig, RunScope, protocol_run
 from repro.runtime.state import (
     RemoteStateProxy,
     materialize_state,
@@ -79,13 +79,6 @@ from repro.runtime.tasks import (
     SiteTaskResult,
     run_site_tasks,
     run_tasks,
-)
-from repro.runtime.transport import (
-    PickleTransport,
-    ReferenceTransport,
-    TransportLike,
-    TransportPolicy,
-    resolve_transport,
 )
 
 __all__ = [
@@ -101,11 +94,9 @@ __all__ = [
     "default_worker_count",
     "effective_cpu_count",
     "resolve_backend",
-    "TransportLike",
-    "TransportPolicy",
-    "ReferenceTransport",
-    "PickleTransport",
-    "resolve_transport",
+    "RunConfig",
+    "RunScope",
+    "protocol_run",
     "RemoteStateProxy",
     "materialize_state",
     "snapshot_site_state",

@@ -49,7 +49,7 @@ them to workers by pickling their qualified name).
 from __future__ import annotations
 
 from concurrent.futures import Future, wait as _wait_futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,7 +57,6 @@ import numpy as np
 from repro.distributed.messages import Message
 from repro.obs.trace import NULL_TRACER, TraceBuffer, collector_scope
 from repro.runtime.backends import BackendLike, backend_scope
-from repro.runtime.transport import TransportLike, resolve_transport
 from repro.utils.timing import Timer
 
 
@@ -203,7 +202,6 @@ def run_site_tasks(
     tasks: Sequence[SiteTask],
     *,
     backend: BackendLike = None,
-    transport: TransportLike = None,
     async_rounds: bool = False,
     consume: Optional[Callable[[SiteTaskResult], None]] = None,
 ) -> List[SiteTaskResult]:
@@ -215,17 +213,16 @@ def run_site_tasks(
         The :class:`~repro.distributed.network.StarNetwork` being driven.
         Inboxes of the addressed sites are drained into the task contexts;
         after the join, site state, timers and buffered transmissions are
-        merged back in submission order.
+        merged back in submission order.  Messages are delivered by
+        reference: in-process backends hand the task the coordinator's
+        payload objects, while the process and cluster backends pickle
+        them across the process boundary.
     tasks:
         At most one :class:`SiteTask` per site.
     backend:
         ``None`` / a registered backend name (optionally ``"name:workers"``,
         e.g. ``"thread:4"`` or ``"cluster:3"``) or an
         :class:`~repro.runtime.backends.ExecutionBackend` instance.
-    transport:
-        ``None`` / ``"reference"`` / ``"pickle"`` or a
-        :class:`~repro.runtime.transport.TransportPolicy`; applied to inbox
-        payloads entering a task and outbox payloads leaving it.
     async_rounds:
         ``False`` (default): barrier join — every site completes before any
         result is merged.  ``True``: streaming join — each result is merged
@@ -271,21 +268,19 @@ def run_site_tasks(
             raise ValueError(f"multiple tasks address site {task.site_id}")
         seen.add(task.site_id)
 
-    policy = resolve_transport(transport)
     tracer = getattr(network, "tracer", None) or NULL_TRACER
     round_index = network.current_round
 
     pairs: List[Tuple[SiteTask, SiteContext]] = []
     for task in tasks:
         site = network.sites[task.site_id]
-        inbox = [replace(m, payload=policy.roundtrip(m.payload)) for m in site.drain_inbox()]
         ctx = SiteContext(
             site_id=site.site_id,
             shard=site.shard,
             local_metric=site.local_metric,
             state=site.state,
             rng=task.rng,
-            inbox=inbox,
+            inbox=site.drain_inbox(),
             resident_key=getattr(site, "resident_key", None),
             trace=TraceBuffer(origin=f"site-{site.site_id}") if tracer.enabled else None,
         )
@@ -342,7 +337,7 @@ def run_site_tasks(
                     network.send_to_coordinator(
                         result.site_id,
                         out.kind,
-                        policy.roundtrip(out.payload),
+                        out.payload,
                         out.words,
                         n_bytes=out.n_bytes,
                         n_bytes_encoded=out.n_bytes_encoded,

@@ -1,6 +1,7 @@
 """Tests for the codec-framed pickle transport."""
 
 import socket
+import struct
 import threading
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from repro.cluster.framing import (
     FRAME_OVERHEAD,
     HAVE_ZSTD,
+    MAX_FRAME_BYTES,
     MIN_COMPRESS_BYTES,
     NONE_CODEC,
     WIRE_CODEC_ENV,
@@ -240,6 +242,18 @@ class TestFrameChannel:
         finally:
             b.close()
 
+    @pytest.mark.parametrize("length", [MAX_FRAME_BYTES + 1, 2**64 - 1])
+    def test_oversized_header_raises_connection_error(self, length):
+        a, b = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            # A forged header, no body: rejected before any allocation.
+            a.sendall(struct.pack(">QB", length, 0))
+            with pytest.raises(ConnectionError, match="limit"):
+                FrameChannel(b).recv()
+        finally:
+            a.close()
+            b.close()
+
     def test_recv_exact_requires_full_read(self):
         a, b = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
@@ -343,6 +357,14 @@ class TestNonBlockingReassembly:
         assert back == obj
         assert codec == "zlib"
         assert n_bytes == frame.n_bytes < raw == frame.raw_bytes
+
+    @pytest.mark.parametrize("length", [MAX_FRAME_BYTES + 1, 2**64 - 1])
+    def test_oversized_header_raises_without_waiting(self, channel_pair, length):
+        _, right = channel_pair
+        right.feed_bytes(struct.pack(">QB", length, 0))
+        with pytest.raises(ConnectionError, match="limit"):
+            right.take_frames()
+        assert right.frames_received == 0
 
     def test_two_frames_in_one_feed_decode_in_order(self, channel_pair):
         _, right = channel_pair

@@ -217,9 +217,15 @@ class TestChromeTraceSchema:
         coordinator = [s for pid, s in sids if pid == 1]
         assert coordinator and len(coordinator) == len(set(coordinator))
 
-    def test_committed_benchmark_trace_round_trips(self, tmp_path):
-        """The committed cluster-trace artifact still parses and validates."""
-        with open("benchmarks/BENCH_cluster_trace.json") as fh:
+    @pytest.mark.cluster
+    def test_cluster_trace_file_round_trips(self, small_workload, tmp_path):
+        """A written cluster-run trace parses, validates and round-trips."""
+        result = partial_kmedian(
+            small_workload.points, 3, 15, n_sites=3, seed=42,
+            backend="cluster:2", trace=True,
+        )
+        trace_path = write_chrome_trace(result.trace, str(tmp_path / "cluster_trace.json"))
+        with open(trace_path) as fh:
             doc = json.load(fh)
         validate_trace_events(doc)
         assert doc["displayTimeUnit"] == "ms"

@@ -1,9 +1,9 @@
 """Backend parity: every protocol must be bit-identical across backends.
 
 The acceptance bar for the runtime subsystem: for a fixed seed, serial,
-thread and process backends (and the pickle transport) return the same
-centers, the same cost and the same ledger word counts — parallelism and
-payload materialisation are pure execution details.
+thread and process backends return the same centers, the same cost and
+the same ledger word counts — parallelism and payload materialisation are
+pure execution details.
 """
 
 import numpy as np
@@ -53,13 +53,6 @@ class TestDeterministicProtocolParity:
     def test_no_shipping_variant(self, small_instance, backend):
         base = distributed_partial_median_no_shipping(small_instance, rng=42, backend="serial")
         other = distributed_partial_median_no_shipping(small_instance, rng=42, backend=backend)
-        _assert_same_result(base, other)
-
-    def test_pickle_transport_matches_reference(self, small_workload):
-        base = partial_kmedian(small_workload.points, 3, 15, n_sites=3, seed=42)
-        other = partial_kmedian(
-            small_workload.points, 3, 15, n_sites=3, seed=42, transport="pickle"
-        )
         _assert_same_result(base, other)
 
     def test_backend_instance_is_shared_across_runs(self, small_workload):
